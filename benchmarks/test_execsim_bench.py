@@ -1,9 +1,10 @@
 """Execsim benchmark snapshot — emits ``BENCH_execsim.json``.
 
-Times the comm-cost kernel pair on synthetic adjacency problems and
-replays the regrid reuse cache over the reduced RM3D trace plus a
-scripted localized-adaptation trace (:mod:`repro.execsim.bench`).
-Asserts the PR's acceptance floors — cost kernel >= 3x at 1e5 adjacency
+Times the comm-cost kernel against its frozen scalar oracle on
+synthetic adjacency problems and replays the regrid reuse cache over
+the reduced RM3D trace plus a scripted localized-adaptation trace
+(:mod:`repro.execsim.bench`).  Asserts the acceptance floors — cost
+kernel >= 3x at 1e5 adjacency
 pairs, nonzero reuse-hit rate on the RM3D trace — and writes the
 snapshot the ``python -m repro benchdiff`` CI gate compares.  Wall and
 speedup leaves use names the gate ignores; match booleans, hit rates,
@@ -28,7 +29,7 @@ def test_execsim_bench_snapshot():
     doc = run_execsim_bench()
 
     gate = doc["gate"]
-    assert gate["all_match"], "backend outputs diverged — differential bug"
+    assert gate["all_match"], "kernel diverged from its oracle — differential bug"
     assert gate["largest_pairs"] >= 100_000
     assert gate["cost_speedup_at_largest"] >= MIN_COST_SPEEDUP, (
         f"cost kernel only {gate['cost_speedup_at_largest']:.1f}x "

@@ -9,18 +9,19 @@ from repro.experiments import fig2
 from repro.policy import OctantAxes
 
 
-def test_fig2_octant_cube(benchmark):
-    results = benchmark(fig2.run)
-    print("\n" + fig2.render(results))
+def test_fig2_octant_cube(paper_ctx, benchmark):
+    result = benchmark(fig2.run_scenario, paper_ctx("fig2"))
+    print("\n" + fig2.render_scenario(result))
 
     failures = []
-    for (scattered, moving, thin), (octant, _sig) in results.items():
+    for corner in result["corners"]:
+        axes = (corner["scattered"], corner["moving"], corner["thin"])
         expected = OctantAxes(
-            scattered=scattered, high_dynamics=moving, comm_dominated=thin
+            scattered=axes[0], high_dynamics=axes[1], comm_dominated=axes[2]
         ).octant()
-        if octant is not expected:
-            failures.append(((scattered, moving, thin), octant, expected))
+        if corner["octant"] != expected.value:
+            failures.append((axes, corner["octant"], expected.value))
     assert not failures, f"corner misclassifications: {failures}"
-    assert {o.value for o, _ in results.values()} == {
+    assert {c["octant"] for c in result["corners"]} == {
         "I", "II", "III", "IV", "V", "VI", "VII", "VIII"
     }

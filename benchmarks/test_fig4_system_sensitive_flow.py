@@ -11,21 +11,22 @@ import pytest
 from repro.experiments import fig4
 
 
-def test_fig4_system_sensitive_flow(rm3d_trace, benchmark):
-    monitor, capacities, partition = benchmark.pedantic(
-        fig4.run, args=(rm3d_trace,), rounds=1, iterations=1
-    )
-    print("\n" + fig4.render((monitor, capacities, partition)))
+def test_fig4_system_sensitive_flow(paper_ctx, benchmark):
+    result = benchmark.pedantic(fig4.run_scenario, args=(paper_ctx("fig4"),),
+                                rounds=1, iterations=1)
+    print("\n" + fig4.render_scenario(result))
 
+    nodes = result["nodes"]
     # Monitoring arrow: all three attributes measured on every node.
-    for n in range(8):
-        st = monitor.current(n)
-        assert 0 <= st.cpu <= 1 and st.memory > 0 and st.bandwidth > 0
+    assert len(nodes) == 8
+    for st in nodes:
+        assert 0 <= st["cpu_avail"] <= 1
+        assert st["memory"] > 0 and st["bandwidth"] > 0
     # Capacity arrow: normalized, and the loaded tail gets less.
+    capacities = np.array([st["capacity"] for st in nodes])
     assert capacities.sum() == pytest.approx(1.0)
     assert capacities[0] > capacities[7]
     # Partitioning arrow: load shares follow capacities.
-    loads = partition.proc_loads()
-    shares = loads / loads.sum()
+    shares = np.array([st["load_share"] for st in nodes])
     corr = np.corrcoef(capacities, shares)[0, 1]
     assert corr > 0.9, f"load shares must track capacities (corr={corr:.2f})"

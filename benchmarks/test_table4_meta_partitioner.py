@@ -12,25 +12,26 @@ import pytest
 from repro.experiments import table4
 
 
-def test_table4_partitioner_performance(rm3d_trace, benchmark):
-    report = benchmark.pedantic(table4.run, args=(rm3d_trace,), rounds=1,
+def test_table4_partitioner_performance(paper_ctx, benchmark):
+    result = benchmark.pedantic(table4.run_scenario,
+                                args=(paper_ctx("table4"),), rounds=1,
                                 iterations=1)
-    print("\n" + table4.render(report))
+    print("\n" + table4.render_scenario(result))
 
-    results = {"adaptive": report.adaptive, **report.static}
-    rt = {name: results[name].total_runtime for name in results}
+    results = result["partitioners"]  # adaptive + the static baselines
+    rt = {name: r["runtime_s"] for name, r in results.items()}
     # Who wins: the paper's full runtime ordering.
     assert rt["adaptive"] < rt["G-MISP+SP"] < rt["pBD-ISP"] < rt["SFC"]
     # By roughly what factor: ~27% over the slowest.
-    assert 15.0 < report.improvement_over_worst_pct < 40.0
+    assert 15.0 < result["improvement_over_worst_pct"] < 40.0
     # Load balance ordering of the static schemes.
-    imb = {name: results[name].mean_imbalance_pct for name in results}
+    imb = {name: r["imbalance_pct"] for name, r in results.items()}
     assert imb["G-MISP+SP"] < imb["SFC"] < imb["pBD-ISP"]
     assert imb["G-MISP+SP"] == pytest.approx(11.3, abs=6.0)
     assert imb["pBD-ISP"] == pytest.approx(35.0, abs=8.0)
     # AMR efficiency: all ~98.8%, within a fraction of a percent.
-    for name in results:
-        assert results[name].amr_efficiency_pct == pytest.approx(98.8, abs=0.4)
+    for r in results.values():
+        assert r["efficiency_pct"] == pytest.approx(98.8, abs=0.4)
     # The adaptive run actually switches: both families used.
-    usage = report.adaptive.partitioner_usage()
+    usage = result["adaptive_usage"]
     assert "pBD-ISP" in usage and "G-MISP+SP" in usage

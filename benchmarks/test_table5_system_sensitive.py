@@ -9,11 +9,13 @@ See :mod:`repro.experiments.table5`.
 from repro.experiments import table5
 
 
-def test_table5_system_sensitive_improvement(rm3d_trace, benchmark):
-    improvements = benchmark.pedantic(table5.run, args=(rm3d_trace,),
-                                      rounds=1, iterations=1)
-    print("\n" + table5.render(improvements))
+def test_table5_system_sensitive_improvement(paper_ctx, benchmark):
+    result = benchmark.pedantic(table5.run_scenario,
+                                args=(paper_ctx("table5"),), rounds=1,
+                                iterations=1)
+    print("\n" + table5.render_scenario(result))
 
+    improvements = {int(n): v for n, v in result["improvements"].items()}
     vals = [improvements[n] for n in table5.PROC_COUNTS]
     # Monotone-increasing trend (small measurement jitter tolerated).
     for a, b in zip(vals, vals[1:]):

@@ -13,16 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import kernels, obs
+from repro import obs
 from repro.amr.box import Box
 from repro.amr.hierarchy import GridHierarchy
 from repro.kernels.workload import composite_values_vector
 
 __all__ = ["WorkloadMap", "composite_load_map", "update_composite_load_map"]
 
-#: patch count from which the vector backend uses the batched scatter
-#: kernel; below it, contiguous slice adds are already optimal and the
-#: ragged index arithmetic would only add overhead.
+#: patch count from which the batched scatter kernel is used; below it,
+#: contiguous slice adds are already optimal and the ragged index
+#: arithmetic would only add overhead.
 VECTOR_MIN_PATCHES = 32
 
 
@@ -74,17 +74,16 @@ def composite_load_map(hierarchy: GridHierarchy) -> WorkloadMap:
     covered base cell in 3-D.  Partial coverage at unaligned patch edges is
     handled exactly with per-axis overlap counts.
 
-    The accumulation exists twice: the per-patch scalar loop below and
-    the patch-batched kernel in :mod:`repro.kernels.workload`, selected
-    by the kernel backend and proven bit-identical by the differential
-    suite.  The vector backend cuts over to the batched kernel only from
-    :data:`VECTOR_MIN_PATCHES` patches up — below that, slice adds over
-    a few large blocks are already optimal.
+    The input picks the path: from :data:`VECTOR_MIN_PATCHES` patches up
+    the patch-batched kernel in :mod:`repro.kernels.workload` runs;
+    below that, the per-patch loop here is faster, because slice adds
+    over a few large blocks are already optimal.  Both paths are proven
+    bit-identical to the frozen oracle ``tests/reference/ref_workload.py``
+    by the differential suite.
     """
     domain = hierarchy.domain
-    backend = kernels.active_backend()
-    obs.counter("kernels.calls", kernel="workload", backend=backend).inc()
-    if backend == "vector" and hierarchy.num_patches >= VECTOR_MIN_PATCHES:
+    obs.counter("kernels.calls", kernel="workload").inc()
+    if hierarchy.num_patches >= VECTOR_MIN_PATCHES:
         return WorkloadMap(
             domain=domain, values=composite_values_vector(hierarchy)
         )
@@ -144,8 +143,7 @@ def update_composite_load_map(
             f"dirty_mask shape {dirty_mask.shape} does not match "
             f"map shape {old.values.shape}"
         )
-    obs.counter("kernels.calls", kernel="workload",
-                backend="incremental").inc()
+    obs.counter("kernels.calls", kernel="workload_incremental").inc()
     values = old.values.copy()
     values[dirty_mask] = 0.0
 

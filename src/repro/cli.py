@@ -68,16 +68,17 @@ regression (:mod:`repro.obs.benchdiff`)::
     python -m repro benchdiff BENCH_obs.json /tmp/BENCH_obs.json
     python -m repro benchdiff base.json cur.json --rel-tol 0.05 --json -
 
-``kernels-bench`` — deterministic op-level microbenchmarks of the
-scalar/vector kernel pairs (:mod:`repro.kernels.bench`), exiting
-non-zero when any pair's outputs disagree::
+``kernels-bench`` — deterministic op-level microbenchmarks, frozen
+oracle vs kernel (:mod:`repro.kernels.bench`; needs the source
+checkout's ``tests/reference/``), exiting non-zero when any kernel's
+output differs from its oracle's::
 
     python -m repro kernels-bench
     python -m repro kernels-bench --json BENCH_kernels.json
 
-``execsim-bench`` — the execsim comm-cost kernel pair and the regrid
-reuse cache (:mod:`repro.execsim.bench`), exiting non-zero when the
-backends disagree::
+``execsim-bench`` — the execsim comm-cost kernel vs its frozen oracle
+and the regrid reuse cache (:mod:`repro.execsim.bench`), exiting
+non-zero when an output differs from its reference::
 
     python -m repro execsim-bench
     python -m repro execsim-bench --json BENCH_execsim.json
@@ -318,10 +319,10 @@ def benchdiff_main(args: argparse.Namespace) -> int:
 
 
 def kernels_bench_main(args: argparse.Namespace) -> int:
-    """The ``kernels-bench`` verb: scalar/vector kernel microbenchmarks.
+    """The ``kernels-bench`` verb: oracle vs kernel microbenchmarks.
 
-    Exits non-zero when any kernel pair's outputs disagree, so the bench
-    doubles as a CI equivalence gate.
+    Exits non-zero when any kernel's output differs from its oracle's,
+    so the bench doubles as a CI equivalence gate.
     """
     from repro.kernels.bench import (
         DEFAULT_SIZES,
@@ -346,9 +347,9 @@ def kernels_bench_main(args: argparse.Namespace) -> int:
 def execsim_bench_main(args: argparse.Namespace) -> int:
     """The ``execsim-bench`` verb: comm-cost kernels and regrid reuse.
 
-    Exits non-zero when the kernel backends disagree or the reuse cache
-    diverges from full rebuilds, so the bench doubles as a CI
-    equivalence gate.
+    Exits non-zero when the cost kernel differs from its oracle or the
+    reuse cache diverges from full rebuilds, so the bench doubles as a
+    CI equivalence gate.
     """
     from repro.execsim.bench import (
         DEFAULT_PAIR_COUNTS,
@@ -855,10 +856,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_kb = sub.add_parser(
         "kernels-bench",
         parents=common,
-        help="microbenchmark the scalar/vector kernel pairs",
-        description="Time each partitioning kernel pair (scalar reference "
-        "vs vectorized) on seeded synthetic inputs and verify their "
-        "outputs agree; JSON output is the BENCH_kernels.json document.",
+        help="microbenchmark oracle vs kernel for each partitioning kernel",
+        description="Time each partitioning kernel against its frozen "
+        "scalar oracle (tests/reference/, so run from a source checkout) "
+        "on seeded synthetic inputs and verify their outputs agree; JSON "
+        "output is the BENCH_kernels.json document.",
     )
     p_kb.add_argument(
         "--sizes", type=int, nargs="+", default=None, metavar="N",
@@ -879,10 +881,11 @@ def build_parser() -> argparse.ArgumentParser:
         "execsim-bench",
         parents=common,
         help="benchmark the execsim cost kernel and regrid reuse cache",
-        description="Time the comm-cost kernel pair on synthetic "
-        "adjacency problems, replay the regrid reuse cache over the "
-        "RM3D and a localized trace, and verify every path matches the "
-        "scalar/full-recompute reference; JSON output is the "
+        description="Time the comm-cost kernel against its frozen "
+        "scalar oracle (tests/reference/, so run from a source checkout) "
+        "on synthetic adjacency problems, replay the regrid reuse cache "
+        "over the RM3D and a localized trace, and verify every path "
+        "matches the oracle/full-recompute reference; JSON output is the "
         "BENCH_execsim.json document.",
     )
     p_eb.add_argument(
@@ -975,7 +978,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"--abs-tol must be >= 0, got {args.abs_tol}")
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:
         parser.error(str(exc))
 
 

@@ -10,9 +10,8 @@ knob bundles (:class:`~repro.resilience.recovery.FaultTolerance`,
 to wire together by hand.  This module consolidates both:
 
 - :class:`SimulatorOptions` is the execution simulator's tuning bundle.
-  ``ExecutionSimulator(cluster, options=SimulatorOptions(...))`` replaces
-  the legacy keyword soup; the old keywords still work through
-  deprecation shims that emit :class:`DeprecationWarning`.
+  ``ExecutionSimulator(cluster, options=SimulatorOptions(...))`` is the
+  one way to set those knobs.
 - :class:`RuntimeConfig` composes the detector, delivery, checkpoint and
   simulator knobs into one document-shaped object with factory methods
   (:meth:`RuntimeConfig.fault_tolerance`,

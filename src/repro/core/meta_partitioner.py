@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro import kernels, obs
+from repro import obs
 from repro.amr.trace import Snapshot
 from repro.execsim.selector import PartitionerSelector, SelectorDecision
 from repro.partitioners import PARTITIONER_REGISTRY
@@ -40,39 +40,21 @@ class MetaPartitioner(PartitionerSelector):
     configuration.  ``hysteresis`` regrids keep the previous choice unless
     the octant persists, preventing thrash at octant boundaries (the
     repartition_hysteresis policy parameter).
-
-    ``kernel_backend`` optionally pins the partitioning kernel backend
-    (``"vector"`` / ``"scalar"``, see :mod:`repro.kernels`) for the whole
-    run; ``None`` leaves the process-wide ``REPRO_KERNELS`` selection in
-    force.
     """
 
     kb: PolicyKnowledgeBase = field(default_factory=default_policy_base)
     thresholds: OctantThresholds = field(default_factory=OctantThresholds)
     system_state: dict = field(default_factory=dict)
     hysteresis: int = 0
-    kernel_backend: str | None = None
     _instances: dict[str, Partitioner] = field(default_factory=dict, repr=False)
     _last: SelectorDecision | None = field(default=None, repr=False)
     _pending_octant: Octant | None = field(default=None, repr=False)
     _pending_count: int = field(default=0, repr=False)
     selections: list[tuple[int, str, str]] = field(default_factory=list)
 
-    def __post_init__(self) -> None:
-        if (
-            self.kernel_backend is not None
-            and self.kernel_backend not in kernels.BACKENDS
-        ):
-            raise ValueError(
-                f"unknown kernel backend {self.kernel_backend!r}; "
-                f"choose from {kernels.BACKENDS}"
-            )
-
     def decide(
         self, snapshot: Snapshot, previous: Snapshot | None
     ) -> SelectorDecision:
-        if self.kernel_backend is not None:
-            kernels.set_backend(self.kernel_backend)
         octant, _signals = classify_hierarchy(
             snapshot.hierarchy,
             previous.hierarchy if previous is not None else None,

@@ -3,12 +3,15 @@
 ``python -m repro execsim-bench`` produces the ``BENCH_execsim.json``
 document gated by ``python -m repro benchdiff`` in CI.  Two halves:
 
-- **cost kernel** — scalar reference vs vectorized
+- **cost kernel** — the frozen scalar oracle
+  (``tests/reference/ref_costmodel.py``, loaded by file path, so the
+  bench runs only from a source checkout) vs the production
   :func:`~repro.execsim.costmodel.comm_cost_terms` on seeded synthetic
   adjacency problems up to ~1e5 pairs (the regime a production-sized
   unit lattice reaches).  Wall leaves follow the ``wall_*_s`` /
-  ``speedup`` naming the benchdiff gate ignores; the ``match`` booleans
-  and output digests are gated exactly.
+  ``speedup`` naming the benchdiff gate ignores (``wall_scalar_s`` is
+  the oracle, ``wall_vector_s`` the kernel); the ``match`` booleans and
+  output digests are gated exactly.
 - **regrid reuse** — :class:`~repro.execsim.reuse.UnitsReuseCache`
   replayed over the reduced RM3D trace.  The hit rate is a
   deterministic property of the trace (not a timing), so it is gated
@@ -27,7 +30,7 @@ import time
 
 import numpy as np
 
-from repro import kernels
+from repro.kernels.bench import load_oracle
 
 __all__ = ["run_execsim_bench", "render_execsim_bench"]
 
@@ -117,6 +120,7 @@ def run_execsim_bench(
     from repro.experiments.common import rm3d_small_trace
     from repro.partitioners.units import build_units
 
+    oracle = load_oracle("ref_costmodel").comm_cost_terms
     cost = CostModel()
     rng = np.random.default_rng(seed)
     doc: dict = {
@@ -132,15 +136,9 @@ def run_execsim_bench(
     for n_pairs in pair_counts:
         case = _cost_problem(rng, n_pairs, procs)
 
-        def run():
-            return comm_cost_terms(
-                *case, procs, cost.ghost_width, cost.bytes_per_comm_unit
-            )
-
-        with kernels.use_backend("scalar"):
-            wall_s, ref = _best_of(run, repeats)
-        with kernels.use_backend("vector"):
-            wall_v, out = _best_of(run, repeats)
+        args = (*case, procs, cost.ghost_width, cost.bytes_per_comm_unit)
+        wall_s, ref = _best_of(lambda: oracle(*args), repeats)
+        wall_v, out = _best_of(lambda: comm_cost_terms(*args), repeats)
         match = (
             bool(np.array_equal(ref[0], out[0]))
             and bool(np.array_equal(ref[1], out[1]))
@@ -211,7 +209,7 @@ def render_execsim_bench(doc: dict) -> str:
         "execsim benchmark "
         f"(seed={doc['meta']['seed']}, procs={doc['meta']['procs']}, "
         f"best of {doc['meta']['repeats']})",
-        f"{'case':<14} {'scalar':>10} {'vector':>10} {'speedup':>8}  match",
+        f"{'case':<14} {'oracle':>10} {'kernel':>10} {'speedup':>8}  match",
     ]
     for case, entry in doc["cost_kernel"].items():
         lines.append(

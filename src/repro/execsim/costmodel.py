@@ -1,16 +1,14 @@
 """Cost model of a partitioned SAMR step on a simulated machine.
 
 Besides the :class:`CostModel` constants, this module owns the
-per-regrid-interval *communication cost kernel*: boundary-crossing ghost
+per-regrid-interval *communication cost terms*: boundary-crossing ghost
 volume, per-processor neighbor-set sizes, and the redundant-update
 (AMR-efficiency) term, all derived from the unit adjacency arrays and the
-owner assignment.  The computation exists twice — the pure-Python scalar
-loop below (the reference semantics, frozen verbatim as the differential
-oracle in ``tests/reference/ref_costmodel.py``) and the numpy
-scatter/bincount kernel in :mod:`repro.kernels.costmodel` — selected by
-the process-wide kernel backend (``REPRO_KERNELS=vector|scalar``) and
-proven bit-identical by the differential suite in
-``tests/test_execsim_kernels.py``.
+owner assignment.  They are computed by the numpy scatter/bincount
+kernel in :mod:`repro.kernels.costmodel`; the per-pair loop it replaced
+is frozen as the differential oracle in
+``tests/reference/ref_costmodel.py`` and proven bit-identical to the
+kernel by ``tests/test_execsim_kernels.py``.
 """
 
 from __future__ import annotations
@@ -19,12 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import kernels, obs
+from repro import obs
+from repro.kernels.costmodel import comm_cost_terms_vector
 
 __all__ = ["CostModel", "comm_cost_terms", "per_step_comm_times"]
-
-#: face-area axis pairs: the two extents orthogonal to each adjacency axis
-_OTHER_AXES = ((1, 2), (0, 2), (0, 1))
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,76 +73,6 @@ class CostModel:
                 raise ValueError(f"{name} must be >= 0")
 
 
-def comm_cost_terms_scalar(
-    i: np.ndarray,
-    j: np.ndarray,
-    axis: np.ndarray,
-    assignment: np.ndarray,
-    shapes: np.ndarray,
-    loads: np.ndarray,
-    num_procs: int,
-    ghost_width: float,
-    bytes_per_comm_unit: float,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Scalar reference: per-proc comm bytes, neighbor counts, ghost work.
-
-    For every cut face (adjacent units with different owners) the
-    exchanged volume is the face area scaled by the mean load density of
-    the two units and the ghost width; the bytes are charged to *both*
-    endpoint processors (send + receive).  ``neighbor_count[p]`` is the
-    number of distinct processors ``p`` shares at least one cut face
-    with.  ``ghost_work`` is the unweighted geometric redundant-update
-    volume (cut face area times ghost width).
-
-    Accumulation order is part of the contract the vector kernel must
-    reproduce bit-for-bit: all owner-``i`` byte contributions are added
-    in pair order, then all owner-``j`` contributions, and ``ghost_work``
-    is a sequential sum over cut pairs in pair order.
-    """
-    comm_bytes = np.zeros(num_procs)
-    neighbor_count = np.zeros(num_procs)
-    n = int(len(i))
-    cut_bytes: list[float] = []
-    cut_oi: list[int] = []
-    cut_oj: list[int] = []
-    face_sum = 0.0
-    pairs: set[tuple[int, int]] = set()
-    for k in range(n):
-        ui = int(i[k])
-        uj = int(j[k])
-        oi = int(assignment[ui])
-        oj = int(assignment[uj])
-        if oi == oj:
-            continue
-        o1, o2 = _OTHER_AXES[int(axis[k])]
-        a = min(int(shapes[ui, o1]), int(shapes[uj, o1]))
-        b = min(int(shapes[ui, o2]), int(shapes[uj, o2]))
-        face = float(a * b)
-        cells_i = float(
-            int(shapes[ui, 0]) * int(shapes[ui, 1]) * int(shapes[ui, 2])
-        )
-        cells_j = float(
-            int(shapes[uj, 0]) * int(shapes[uj, 1]) * int(shapes[uj, 2])
-        )
-        di = float(loads[ui]) / max(cells_i, 1.0)
-        dj = float(loads[uj]) / max(cells_j, 1.0)
-        vol = face * 0.5 * (di + dj) * ghost_width
-        cut_bytes.append(vol * bytes_per_comm_unit)
-        cut_oi.append(oi)
-        cut_oj.append(oj)
-        face_sum += face
-        pairs.add((min(oi, oj), max(oi, oj)))
-    for k, b in enumerate(cut_bytes):
-        comm_bytes[cut_oi[k]] += b
-    for k, b in enumerate(cut_bytes):
-        comm_bytes[cut_oj[k]] += b
-    for p, q in pairs:
-        neighbor_count[p] += 1.0
-        neighbor_count[q] += 1.0
-    ghost_work = face_sum * ghost_width if cut_bytes else 0.0
-    return comm_bytes, neighbor_count, ghost_work
-
-
 def comm_cost_terms(
     i: np.ndarray,
     j: np.ndarray,
@@ -158,22 +84,23 @@ def comm_cost_terms(
     ghost_width: float,
     bytes_per_comm_unit: float,
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Backend-dispatched communication cost terms.
+    """Per-proc comm bytes, neighbor counts and ghost work of one partition.
 
-    Returns ``(comm_bytes, neighbor_count, ghost_work)`` — see
-    :func:`comm_cost_terms_scalar` for the semantics both backends
-    reproduce bit-for-bit.
+    For every cut face (adjacent units with different owners) the
+    exchanged volume is the face area scaled by the mean load density of
+    the two units and the ghost width; the bytes are charged to *both*
+    endpoint processors (send + receive).  ``neighbor_count[p]`` is the
+    number of distinct processors ``p`` shares at least one cut face
+    with.  ``ghost_work`` is the unweighted geometric redundant-update
+    volume (cut face area times ghost width).
+
+    Accumulation order is part of the contract (it fixes the float sums
+    bit-for-bit): all owner-``i`` byte contributions are added in pair
+    order, then all owner-``j`` contributions, and ``ghost_work`` is a
+    sequential sum over cut pairs in pair order.
     """
-    backend = kernels.active_backend()
-    obs.counter("kernels.calls", kernel="costmodel", backend=backend).inc()
-    if backend == "vector":
-        from repro.kernels.costmodel import comm_cost_terms_vector
-
-        return comm_cost_terms_vector(
-            i, j, axis, assignment, shapes, loads, num_procs,
-            ghost_width, bytes_per_comm_unit,
-        )
-    return comm_cost_terms_scalar(
+    obs.counter("kernels.calls", kernel="costmodel").inc()
+    return comm_cost_terms_vector(
         i, j, axis, assignment, shapes, loads, num_procs,
         ghost_width, bytes_per_comm_unit,
     )

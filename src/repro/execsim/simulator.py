@@ -29,7 +29,6 @@ Gray failures get a *proportional* response instead of the full rollback:
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -50,10 +49,6 @@ from repro.resilience.detector import FailureDetector
 from repro.resilience.durable import DurableCheckpointStore
 from repro.resilience.recovery import FaultTolerance, RecoveryRecord
 from repro.util.stats import max_load_imbalance_pct
-
-#: sentinel distinguishing "kwarg not passed" from an explicit ``None``
-#: on the deprecated ExecutionSimulator keyword shims
-_DEPRECATED: object = object()
 
 __all__ = [
     "StepRecord",
@@ -210,10 +205,6 @@ class ExecutionSimulator:
         cost_model: CostModel | None = None,
         *,
         options: SimulatorOptions | None = None,
-        capacities: np.ndarray | None = _DEPRECATED,
-        partition_time_scale: float = _DEPRECATED,
-        fault_tolerance: FaultTolerance | bool | None = _DEPRECATED,
-        incremental: bool = _DEPRECATED,
     ) -> None:
         """``options`` bundles the simulator tuning (the supported API).
 
@@ -233,32 +224,8 @@ class ExecutionSimulator:
         enables the regrid reuse cache
         (:class:`~repro.execsim.reuse.UnitsReuseCache`), bit-identical
         to full recomputation.
-
-        The keyword forms ``capacities=`` / ``partition_time_scale=`` /
-        ``fault_tolerance=`` / ``incremental=`` are deprecated shims:
-        they keep working (byte-identical results) but emit one
-        :class:`DeprecationWarning` per call.
         """
-        legacy = {
-            name: value
-            for name, value in (
-                ("capacities", capacities),
-                ("partition_time_scale", partition_time_scale),
-                ("fault_tolerance", fault_tolerance),
-                ("incremental", incremental),
-            )
-            if value is not _DEPRECATED
-        }
-        if legacy:
-            warnings.warn(
-                f"ExecutionSimulator keyword(s) {sorted(legacy)} are "
-                f"deprecated; pass options=SimulatorOptions(...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         opts = options if options is not None else SimulatorOptions()
-        if legacy:
-            opts = replace(opts, **legacy)
         if num_procs is not None:
             opts = replace(opts, num_procs=num_procs)
         if cost_model is not None:

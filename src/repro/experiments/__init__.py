@@ -1,13 +1,16 @@
 """First-class reproduction experiments — one module per table/figure.
 
-Every experiment module exposes:
+Every experiment module exposes the Scenario API (:mod:`repro.sweep`):
 
-- ``run(...)`` — execute the experiment and return structured results,
-- ``render(result)`` — format the paper-style table/figure as text,
-- ``PAPER`` constants with the published values for comparison.
+- ``run_scenario(ctx)`` — execute the experiment and return its JSON
+  digest,
+- ``render_scenario(result)`` — format the paper-style table/figure as
+  text,
+- the published values (``PAPER`` and friends) for comparison.
 
-The pytest benchmarks under ``benchmarks/`` and the command line
-(``python -m repro <experiment>``) are both thin wrappers around these.
+The pytest benchmarks under ``benchmarks/``, the sweep engine and the
+command line (``python -m repro run <experiment>``) are all thin wrappers
+around these.
 """
 
 from repro.experiments import common

@@ -1,4 +1,4 @@
-"""Shared experiment infrastructure: reference traces + deprecation helper.
+"""Shared experiment infrastructure: the reference traces.
 
 Two RM3D adaptation traces are shared across experiments and scenario
 sweeps:
@@ -12,16 +12,19 @@ sweeps:
 Both are cached on disk under ``.cache/`` and written via a temp file +
 atomic rename, so concurrent sweep workers that race on a cold cache
 each produce a complete file (last writer wins with identical content)
-instead of interleaving a torn one.
+instead of interleaving a torn one.  A cached file that no longer
+decodes (torn, truncated or bit-flipped) is counted under
+``trace.cache_corrupt{file}`` and regenerated the same way.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
+import zlib
 from pathlib import Path
 from typing import Callable
 
+from repro import obs
 from repro.amr.regrid import RegridPolicy
 from repro.amr.trace import AdaptationTrace
 
@@ -31,7 +34,6 @@ __all__ = [
     "reference_policy",
     "rm3d_reference_trace",
     "rm3d_small_trace",
-    "warn_deprecated",
 ]
 
 #: the paper's run length: 800 coarse steps (+2 regrids) -> 202 snapshots
@@ -40,14 +42,11 @@ NUM_COARSE_STEPS = 808
 #: the reduced sweep/CI run length (-> 40 snapshots)
 SMALL_NUM_COARSE_STEPS = 160
 
-
-def warn_deprecated(old: str, new: str) -> None:
-    """Emit the standard :class:`DeprecationWarning` for a legacy shim."""
-    warnings.warn(
-        f"{old} is deprecated; use {new} (the Scenario API) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
+#: what a corrupt cache file raises on load: gzip CRC/length errors
+#: (``OSError``), a truncated stream (``EOFError``), bad deflate data
+#: (``zlib.error``), bad text or JSON (``ValueError``) and a document
+#: missing its fields (``KeyError``)
+_CORRUPT = (OSError, EOFError, zlib.error, ValueError, KeyError)
 
 
 def reference_policy() -> RegridPolicy:
@@ -71,7 +70,8 @@ def _cached_trace(
     The trace is written to a process-unique temp file and renamed into
     place, so concurrent generators cannot expose a partial file to each
     other — the fix for the cold-cache race between parallel sweep
-    workers.
+    workers.  A cached file that fails to decode is counted under
+    ``trace.cache_corrupt{file}`` and regenerated through the same path.
     """
     cache_dir = (
         _default_cache_dir() if cache_dir is None else Path(cache_dir)
@@ -79,7 +79,10 @@ def _cached_trace(
     cache_dir.mkdir(parents=True, exist_ok=True)
     path = cache_dir / filename
     if path.exists():
-        return AdaptationTrace.load(path)
+        try:
+            return AdaptationTrace.load(path)
+        except _CORRUPT:
+            obs.counter("trace.cache_corrupt", file=filename).inc()
     trace = generate()
     tmp = cache_dir / f".{filename}.{os.getpid()}.tmp"
     try:

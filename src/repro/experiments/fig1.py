@@ -5,12 +5,11 @@ from __future__ import annotations
 from repro.agents import ManagementComputingSystem, ManagementEditor
 from repro.agents.mcs import ExecutionEnvironment
 from repro.apps.loadgen import LoadPattern
-from repro.experiments.common import warn_deprecated
 from repro.gridsys import FailureEvent, linux_cluster
 from repro.monitoring import ResourceMonitor
 from repro.sweep.scenario import ScenarioContext
 
-__all__ = ["run", "render", "run_scenario", "render_scenario"]
+__all__ = ["run_scenario", "render_scenario"]
 
 
 def _run(seed: int = 21) -> ExecutionEnvironment:
@@ -56,6 +55,7 @@ def _digest(env: ExecutionEnvironment) -> dict:
             for comp, agent in zip(env.components, env.agents)
         ],
         "delivered": env.message_center.delivered_count,
+        "done": bool(env.done),
     }
 
 
@@ -85,15 +85,3 @@ def render_scenario(result: dict) -> str:
         f"  Message Center delivered {result['delivered']} messages"
     )
     return "\n".join(lines)
-
-
-def run(seed: int = 21) -> ExecutionEnvironment:
-    """Deprecated shim — use the ``fig1`` scenario (:mod:`repro.sweep`)."""
-    warn_deprecated("fig1.run()", "fig1.run_scenario(ctx)")
-    return _run(seed)
-
-
-def render(env: ExecutionEnvironment) -> str:
-    """Deprecated shim — use :func:`render_scenario` on the JSON digest."""
-    warn_deprecated("fig1.render()", "fig1.render_scenario(result)")
-    return render_scenario(_digest(env))

@@ -5,7 +5,6 @@ from __future__ import annotations
 from repro.amr.box import Box
 from repro.amr.grid import Level, Patch
 from repro.amr.hierarchy import GridHierarchy
-from repro.experiments.common import warn_deprecated
 from repro.policy import (
     Octant,
     OctantAxes,
@@ -15,8 +14,7 @@ from repro.policy import (
 from repro.policy.octant import AppSignals
 from repro.sweep.scenario import ScenarioContext
 
-__all__ = ["CORNER_THRESHOLDS", "run", "render", "run_scenario",
-           "render_scenario"]
+__all__ = ["CORNER_THRESHOLDS", "run_scenario", "render_scenario"]
 
 DOMAIN = Box.from_shape((64, 32, 32))
 
@@ -116,15 +114,3 @@ def render_scenario(result: dict) -> str:
             f"{'ok' if c['ok'] else 'MISS'}"
         )
     return "\n".join(lines)
-
-
-def run() -> dict[tuple[bool, bool, bool], tuple[Octant, AppSignals]]:
-    """Deprecated shim — use the ``fig2`` scenario (:mod:`repro.sweep`)."""
-    warn_deprecated("fig2.run()", "fig2.run_scenario(ctx)")
-    return _run()
-
-
-def render(results) -> str:
-    """Deprecated shim — use :func:`render_scenario` on the JSON digest."""
-    warn_deprecated("fig2.render()", "fig2.render_scenario(result)")
-    return render_scenario(_digest(results))

@@ -5,11 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.amr.trace import AdaptationTrace
-from repro.experiments.common import warn_deprecated
 from repro.sweep.scenario import ScenarioContext
 
-__all__ = ["SAMPLED", "ascii_profile", "run", "render", "run_scenario",
-           "render_scenario"]
+__all__ = ["SAMPLED", "ascii_profile", "run_scenario", "render_scenario"]
 
 SAMPLED = (0, 5, 25, 106, 137, 162, 174, 201)
 
@@ -78,15 +76,3 @@ def render_scenario(result: dict) -> str:
             f"rf={d['refined_fraction']:.3f} patches={d['patches']}"
         )
     return "\n".join(lines)
-
-
-def run(trace: AdaptationTrace) -> dict[int, dict]:
-    """Deprecated shim — use the ``fig3`` scenario (:mod:`repro.sweep`)."""
-    warn_deprecated("fig3.run()", "fig3.run_scenario(ctx)")
-    return _run(trace)
-
-
-def render(data: dict[int, dict]) -> str:
-    """Deprecated shim — use :func:`render_scenario` on the JSON digest."""
-    warn_deprecated("fig3.render()", "fig3.render_scenario(result)")
-    return render_scenario(_digest(data))

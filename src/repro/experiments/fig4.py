@@ -5,13 +5,12 @@ from __future__ import annotations
 from repro.amr.trace import AdaptationTrace
 from repro.apps.loadgen import LoadPattern
 from repro.core import CapacityCalculator, CapacityWeights
-from repro.experiments.common import warn_deprecated
 from repro.gridsys import linux_cluster
 from repro.monitoring import ResourceMonitor
 from repro.partitioners import HeterogeneousPartitioner, build_units
 from repro.sweep.scenario import ScenarioContext
 
-__all__ = ["run", "render", "run_scenario", "render_scenario"]
+__all__ = ["run_scenario", "render_scenario"]
 
 
 def _run(trace: AdaptationTrace, seed: int = 33):
@@ -39,6 +38,7 @@ def _digest(result) -> dict:
         nodes.append({
             "node": n,
             "cpu_avail": float(state.cpu),
+            "memory": float(state.memory),
             "bandwidth": float(state.bandwidth),
             "capacity": float(capacities[n]),
             "load_share": float(shares[n]),
@@ -67,15 +67,3 @@ def render_scenario(result: dict) -> str:
             f"{d['load_share']:>11.3f}"
         )
     return "\n".join(lines)
-
-
-def run(trace: AdaptationTrace, seed: int = 33):
-    """Deprecated shim — use the ``fig4`` scenario (:mod:`repro.sweep`)."""
-    warn_deprecated("fig4.run()", "fig4.run_scenario(ctx)")
-    return _run(trace, seed)
-
-
-def render(result) -> str:
-    """Deprecated shim — use :func:`render_scenario` on the JSON digest."""
-    warn_deprecated("fig4.render()", "fig4.render_scenario(result)")
-    return render_scenario(_digest(result))

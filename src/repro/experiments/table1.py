@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from repro.experiments.common import warn_deprecated
 from repro.perf import PFModelingExperiment
 from repro.perf.endtoend import PFAccuracyRow, TABLE1_SIZES
 from repro.sweep.scenario import ScenarioContext
 
-__all__ = ["PAPER", "run", "render", "run_scenario", "render_scenario"]
+__all__ = ["PAPER", "run_scenario", "render_scenario"]
 
 #: data size (bytes) -> (predicted delay, measured delay, % error)
 PAPER = {
@@ -58,15 +57,3 @@ def render_scenario(result: dict) -> str:
             f"{r['error_pct']:>8.3f} {paper_err}"
         )
     return "\n".join(lines)
-
-
-def run(seed: int = 3) -> list[PFAccuracyRow]:
-    """Deprecated shim — use the ``table1`` scenario (:mod:`repro.sweep`)."""
-    warn_deprecated("table1.run()", "table1.run_scenario(ctx)")
-    return _run(seed)
-
-
-def render(rows: list[PFAccuracyRow]) -> str:
-    """Deprecated shim — use :func:`render_scenario` on the JSON digest."""
-    warn_deprecated("table1.render()", "table1.render_scenario(result)")
-    return render_scenario(_digest(rows))

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from repro.experiments.common import warn_deprecated
 from repro.policy import Octant, default_policy_base
 from repro.sweep.scenario import ScenarioContext
 
-__all__ = ["PAPER", "run", "render", "run_scenario", "render_scenario"]
+__all__ = ["PAPER", "run_scenario", "render_scenario"]
 
 PAPER = {
     "I": ("pBD-ISP", "G-MISP+SP"),
@@ -54,15 +53,3 @@ def render_scenario(result: dict) -> str:
         paper = ", ".join(PAPER[octant.value])
         lines.append(f"{octant.value:>7}  {ours:<28} {paper:<28}")
     return "\n".join(lines)
-
-
-def run() -> dict[Octant, dict]:
-    """Deprecated shim — use the ``table2`` scenario (:mod:`repro.sweep`)."""
-    warn_deprecated("table2.run()", "table2.run_scenario(ctx)")
-    return _run()
-
-
-def render(actions: dict[Octant, dict]) -> str:
-    """Deprecated shim — use :func:`render_scenario` on the JSON digest."""
-    warn_deprecated("table2.render()", "table2.render_scenario(result)")
-    return render_scenario(_digest(actions))

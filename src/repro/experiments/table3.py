@@ -6,12 +6,10 @@ from dataclasses import dataclass
 
 from repro.amr.trace import AdaptationTrace
 from repro.core import MetaPartitioner
-from repro.experiments.common import warn_deprecated
 from repro.policy import Octant, classify_trace
 from repro.sweep.scenario import ScenarioContext
 
-__all__ = ["PAPER", "Table3Row", "run", "render", "run_scenario",
-           "render_scenario"]
+__all__ = ["PAPER", "Table3Row", "run_scenario", "render_scenario"]
 
 #: snapshot index -> (octant, selected partitioner)
 PAPER = {
@@ -99,15 +97,3 @@ def render_scenario(result: dict) -> str:
         f"agreement: {result['agreement']}/{len(sampled)} sampled snapshots"
     )
     return "\n".join(lines)
-
-
-def run(trace: AdaptationTrace) -> list[Table3Row]:
-    """Deprecated shim — use the ``table3`` scenario (:mod:`repro.sweep`)."""
-    warn_deprecated("table3.run()", "table3.run_scenario(ctx)")
-    return _run(trace)
-
-
-def render(rows: list[Table3Row]) -> str:
-    """Deprecated shim — use :func:`render_scenario` on the JSON digest."""
-    warn_deprecated("table3.render()", "table3.render_scenario(result)")
-    return render_scenario(_digest(rows))

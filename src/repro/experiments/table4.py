@@ -5,12 +5,11 @@ from __future__ import annotations
 from repro.amr.trace import AdaptationTrace
 from repro.core import PragmaRuntime
 from repro.core.pragma import AdaptiveRunReport
-from repro.experiments.common import warn_deprecated
 from repro.gridsys import sp2_blue_horizon
 from repro.sweep.scenario import ScenarioContext
 
-__all__ = ["PAPER", "PAPER_IMPROVEMENT_PCT", "run", "render",
-           "run_scenario", "render_scenario"]
+__all__ = ["PAPER", "PAPER_IMPROVEMENT_PCT", "run_scenario",
+           "render_scenario"]
 
 #: partitioner -> (runtime s, max load imbalance %, AMR efficiency %)
 PAPER = {
@@ -82,15 +81,3 @@ def render_scenario(result: dict) -> str:
         f"adaptive partitioner usage: {result['adaptive_usage']}"
     )
     return "\n".join(lines)
-
-
-def run(trace: AdaptationTrace, num_procs: int = 64) -> AdaptiveRunReport:
-    """Deprecated shim — use the ``table4`` scenario (:mod:`repro.sweep`)."""
-    warn_deprecated("table4.run()", "table4.run_scenario(ctx)")
-    return _run(trace, num_procs)
-
-
-def render(report: AdaptiveRunReport) -> str:
-    """Deprecated shim — use :func:`render_scenario` on the JSON digest."""
-    warn_deprecated("table4.render()", "table4.render_scenario(result)")
-    return render_scenario(_digest(report))

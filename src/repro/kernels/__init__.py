@@ -2,8 +2,8 @@
 
 The adaptive meta-partitioner re-partitions the SAMR hierarchy at every
 regrid step, so the composite-load → linearize → partition loop dominates
-the reproduction's runtime.  This package holds vectorized replacements
-for its inner loops:
+the reproduction's runtime.  This package holds the vectorized forms of
+its inner loops:
 
 - :mod:`repro.kernels.sequence` — greedy / weighted / optimal sequence
   partitioning over the curve-ordered loads,
@@ -17,91 +17,16 @@ for its inner loops:
   communication cost terms (bincount scatters over the adjacency
   arrays instead of a per-pair Python loop).
 
-Every kernel is a drop-in replacement for a scalar reference
-implementation that stays in the owning module; the pair is selected by
-the process-wide *backend*:
-
-- ``REPRO_KERNELS=vector`` (the default) — vectorized kernels,
-- ``REPRO_KERNELS=scalar`` — the original scalar loops.
-
-The two backends are **bit-identical**: the differential suites in
-``tests/test_kernels.py`` and ``tests/test_execsim_kernels.py`` prove
-equal outputs against the frozen scalar oracles under
-``tests/reference/`` over randomized and golden corpora, and the
-property suite in ``tests/test_partitioner_properties.py`` checks the
-partition invariants under both.  ``python -m repro kernels-bench`` and
-``python -m repro execsim-bench`` time each kernel pair on sized inputs
-and write ``BENCH_kernels.json`` / ``BENCH_execsim.json`` (see
-:mod:`repro.kernels.bench`, :mod:`repro.execsim.bench`).
+Each kernel is the only production path for its computation; the
+owning module (``partitioners/sequence.py``, ``gmisp.py``,
+``pbd_isp.py``, ``amr/workload.py``, ``execsim/costmodel.py``) validates
+inputs, counts the call under ``kernels.calls{kernel=...}`` and
+dispatches here.  The scalar loops the kernels replaced are kept, frozen,
+as the differential oracle under ``tests/reference/``: the suites in
+``tests/test_kernels.py`` and ``tests/test_execsim_kernels.py`` prove the
+kernels **bit-identical** to them over randomized and golden corpora.
+``python -m repro kernels-bench`` and ``python -m repro execsim-bench``
+time oracle vs kernel on sized inputs and write ``BENCH_kernels.json`` /
+``BENCH_execsim.json`` (see :mod:`repro.kernels.bench`,
+:mod:`repro.execsim.bench`).
 """
-
-from __future__ import annotations
-
-import os
-from contextlib import contextmanager
-
-__all__ = [
-    "BACKENDS",
-    "DEFAULT_BACKEND",
-    "ENV_VAR",
-    "active_backend",
-    "set_backend",
-    "use_backend",
-    "vectorized",
-]
-
-#: recognized kernel backends, in preference order
-BACKENDS = ("vector", "scalar")
-
-#: backend used when ``REPRO_KERNELS`` is unset
-DEFAULT_BACKEND = "vector"
-
-#: environment variable consulted (once, lazily) for the initial backend
-ENV_VAR = "REPRO_KERNELS"
-
-_backend: str | None = None  # resolved lazily so tests can patch the env
-
-
-def _validate(name: str) -> str:
-    name = str(name).strip().lower()
-    if name not in BACKENDS:
-        raise ValueError(
-            f"unknown kernel backend {name!r}; choose from {BACKENDS}"
-        )
-    return name
-
-
-def active_backend() -> str:
-    """The backend in force: ``set_backend`` override, else ``REPRO_KERNELS``.
-
-    The environment variable is read once, on first use; later changes
-    take effect through :func:`set_backend` / :func:`use_backend`.
-    """
-    global _backend
-    if _backend is None:
-        _backend = _validate(os.environ.get(ENV_VAR, DEFAULT_BACKEND))
-    return _backend
-
-
-def set_backend(name: str) -> str:
-    """Install ``name`` as the process-wide kernel backend; returns it."""
-    global _backend
-    _backend = _validate(name)
-    return _backend
-
-
-@contextmanager
-def use_backend(name: str):
-    """Scoped backend override (the differential tests' workhorse)."""
-    global _backend
-    prev = active_backend()
-    set_backend(name)
-    try:
-        yield _backend
-    finally:
-        _backend = prev
-
-
-def vectorized() -> bool:
-    """True when the vector backend is active."""
-    return active_backend() == "vector"

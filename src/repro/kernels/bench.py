@@ -1,10 +1,13 @@
-"""Deterministic op-level microbenchmarks for the kernel pairs.
+"""Deterministic op-level microbenchmarks: frozen oracle vs kernel.
 
-``python -m repro kernels-bench`` times every kernel pair (scalar
-reference vs vectorized) on seeded synthetic inputs and writes a
+``python -m repro kernels-bench`` times every production kernel against
+the scalar loop it replaced — the frozen oracle under
+``tests/reference/``, loaded by file path, so the bench runs only from a
+source checkout — on seeded synthetic inputs and writes a
 ``BENCH_kernels.json`` document.  Wall-clock leaves follow the
 ``wall_*_s`` / ``speedup`` naming that the :mod:`repro.obs.benchdiff`
-gate ignores; the gateable leaves are the cross-backend ``match``
+gate ignores (``wall_scalar_s`` is the oracle, ``wall_vector_s`` the
+kernel); the gateable leaves are the oracle-vs-kernel ``match``
 booleans and the output ``digest`` strings, which must stay stable
 across machines and runs.
 
@@ -16,14 +19,17 @@ digests in a committed baseline stay reproducible.
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 
-from repro import kernels
+__all__ = ["load_oracle", "run_kernels_bench", "render_kernels_bench"]
 
-__all__ = ["run_kernels_bench", "render_kernels_bench"]
+#: the frozen scalar oracles, present only in a source checkout
+ORACLE_DIR = Path(__file__).resolve().parents[3] / "tests" / "reference"
 
 #: unit counts for the 1-D sequence kernels (largest drives the CI gate)
 DEFAULT_SIZES = (1_000, 10_000, 100_000)
@@ -40,6 +46,21 @@ def _digest(values: np.ndarray) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+def load_oracle(name: str):
+    """Load the frozen oracle module ``tests/reference/<name>.py`` by path."""
+    path = ORACLE_DIR / f"{name}.py"
+    if not path.is_file():
+        raise FileNotFoundError(
+            f"frozen oracle {path} not found: the kernel benches time the "
+            "kernels against tests/reference/, which only a source checkout "
+            "of the repository contains"
+        )
+    spec = importlib.util.spec_from_file_location(f"_oracle_{name}", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
 def _best_of(fn, repeats: int):
     """(best wall seconds, last result) over ``repeats`` calls."""
     best = math.inf
@@ -51,12 +72,10 @@ def _best_of(fn, repeats: int):
     return best, out
 
 
-def _pair(fn, repeats: int) -> dict:
-    """Time ``fn`` under both backends and compare the outputs."""
-    with kernels.use_backend("scalar"):
-        wall_s, ref = _best_of(fn, repeats)
-    with kernels.use_backend("vector"):
-        wall_v, out = _best_of(fn, repeats)
+def _pair(oracle, kernel, args: tuple, repeats: int) -> dict:
+    """Time ``oracle(*args)`` and ``kernel(*args)``; compare the outputs."""
+    wall_s, ref = _best_of(lambda: oracle(*args), repeats)
+    wall_v, out = _best_of(lambda: kernel(*args), repeats)
     match = bool(np.array_equal(np.asarray(ref), np.asarray(out)))
     return {
         "wall_scalar_s": wall_s,
@@ -102,7 +121,7 @@ def run_kernels_bench(
     repeats: int = 3,
     seed: int = 0,
 ) -> dict:
-    """Time every kernel pair; returns the ``BENCH_kernels.json`` document."""
+    """Time every kernel against its oracle; returns ``BENCH_kernels.json``."""
     from repro.amr.workload import composite_load_map
     from repro.partitioners.gmisp import variable_grain_segments
     from repro.partitioners.pbd_isp import pbd_partition_cube
@@ -111,6 +130,11 @@ def run_kernels_bench(
         optimal_sequence_partition,
         weighted_sequence_partition,
     )
+
+    ref_sequence = load_oracle("ref_sequence")
+    ref_gmisp = load_oracle("ref_gmisp")
+    ref_pbd = load_oracle("ref_pbd")
+    ref_workload = load_oracle("ref_workload")
 
     rng = np.random.default_rng(seed)
     doc: dict = {
@@ -131,17 +155,18 @@ def run_kernels_bench(
         loads = _sequence_loads(rng, n)
         capacities = rng.random(procs) + 0.05
         key = f"n{n}"
-        greedy[key] = _pair(lambda: greedy_sequence_partition(loads, procs),
+        greedy[key] = _pair(ref_sequence.greedy_sequence_partition,
+                            greedy_sequence_partition, (loads, procs),
                             repeats)
-        weighted[key] = _pair(
-            lambda: weighted_sequence_partition(loads, procs, capacities),
-            repeats,
-        )
-        optimal[key] = _pair(lambda: optimal_sequence_partition(loads, procs),
+        weighted[key] = _pair(ref_sequence.weighted_sequence_partition,
+                              weighted_sequence_partition,
+                              (loads, procs, capacities), repeats)
+        optimal[key] = _pair(ref_sequence.optimal_sequence_partition,
+                             optimal_sequence_partition, (loads, procs),
                              repeats)
-        gmisp[key] = _pair(
-            lambda: variable_grain_segments(loads, procs, 64, 0.25), repeats
-        )
+        gmisp[key] = _pair(ref_gmisp.variable_grain_segments,
+                           variable_grain_segments, (loads, procs, 64, 0.25),
+                           repeats)
     doc["kernels"]["greedy"] = greedy
     doc["kernels"]["weighted"] = weighted
     doc["kernels"]["optimal"] = optimal
@@ -149,11 +174,13 @@ def run_kernels_bench(
 
     cube = rng.random(PBD_SHAPE)
     doc["kernels"]["pbd"] = {
-        "cube32": _pair(lambda: pbd_partition_cube(cube, procs), repeats)
+        "cube32": _pair(ref_pbd.pbd_partition_cube, pbd_partition_cube,
+                        (cube, procs), repeats)
     }
 
     doc["kernels"]["workload"] = {
-        name: _pair(lambda h=h: composite_load_map(h).values, repeats)
+        name: _pair(ref_workload.composite_values,
+                    lambda h: composite_load_map(h).values, (h,), repeats)
         for name, h in _bench_hierarchies(rng).items()
     }
 
@@ -177,7 +204,7 @@ def render_kernels_bench(doc: dict) -> str:
         "kernels microbenchmark "
         f"(seed={doc['meta']['seed']}, procs={doc['meta']['procs']}, "
         f"best of {doc['meta']['repeats']})",
-        f"{'kernel':<16} {'case':<14} {'scalar':>10} {'vector':>10} "
+        f"{'kernel':<16} {'case':<14} {'oracle':>10} {'kernel':>10} "
         f"{'speedup':>8}  match",
     ]
     for kern, cases in doc["kernels"].items():

@@ -1,15 +1,15 @@
 """Vectorized execsim communication-cost kernel.
 
-Numpy replacement for the scalar per-adjacency-pair loop in
-:func:`repro.execsim.costmodel.comm_cost_terms_scalar`: face areas are
+Numpy replacement for the per-adjacency-pair loop frozen in
+``tests/reference/ref_costmodel.py`` (contract:
+:func:`repro.execsim.costmodel.comm_cost_terms`): face areas are
 computed per axis with masked ``np.minimum``, the per-processor byte
 scatter is one ``np.bincount`` over both endpoint passes (owner-``i``
 contributions in pair order, then owner-``j`` — the exact accumulation
 order of the scalar loop, so the sums are bit-identical), neighbor-set
-sizes come
-from a ``np.unique`` over packed owner pairs, and the redundant-update
-volume is a sequential ``cumsum`` reduction (pairwise ``np.sum`` would
-drift from the scalar loop in the last ulp).
+sizes come from a ``np.unique`` over packed owner pairs, and the
+redundant-update volume is a sequential ``cumsum`` reduction (pairwise
+``np.sum`` would drift from the scalar loop in the last ulp).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ def comm_cost_terms_vector(
     ghost_width: float,
     bytes_per_comm_unit: float,
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Vector half of the comm-cost kernel pair (see the scalar contract)."""
+    """Comm-cost terms, bit-identical to the frozen scalar loop."""
     comm_bytes = np.zeros(num_procs)
     neighbor_count = np.zeros(num_procs)
     if i.size == 0:

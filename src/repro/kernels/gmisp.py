@@ -1,13 +1,14 @@
 """Vectorized variable-grain segmentation for G-MISP / G-MISP+SP.
 
-The scalar reference recurses block-by-block (split while a block's load
+The scalar reference (frozen in ``tests/reference/ref_gmisp.py``)
+recurses block-by-block (split while a block's load
 exceeds the threshold); this kernel processes the whole *generation* of
 blocks at once: one boolean mask decides every split of the round, so
 the Python-level work is ``O(log coarse)`` rounds instead of one call
 per block.  The split decision of an individual block — ``load >
 threshold and size > 1``, children cut at ``(lo + hi) // 2`` — is
 order-independent, so the resulting segment-boundary *set* is identical
-to the recursion's and the two backends agree bit-for-bit.
+to the recursion's and the two agree bit-for-bit.
 """
 
 from __future__ import annotations

@@ -1,12 +1,13 @@
 """Worklist form of the pBD-ISP binary dissection.
 
-The scalar reference recurses subcube-by-subcube; this kernel drives the
-same dissection from an explicit worklist of (subcube, processor-range)
-items, so deep processor trees cost no Python recursion frames and the
-per-node work is only the axis scans themselves.  The cut decision is
-shared with the scalar backend (:func:`choose_bisection_cut` in
-:mod:`repro.partitioners.pbd_isp`), so the two traversals place
-identical planes and the owner cubes agree bit-for-bit.
+The scalar reference (frozen in ``tests/reference/ref_pbd.py``) recurses
+subcube-by-subcube; this kernel drives the same dissection from an
+explicit worklist of (subcube, processor-range) items, so deep processor
+trees cost no Python recursion frames and the per-node work is only the
+axis scans themselves.  The cut decision
+(:func:`~repro.partitioners.pbd_isp.choose_bisection_cut`) is the
+reference's, so the two traversals place identical planes and the owner
+cubes agree bit-for-bit.
 """
 
 from __future__ import annotations

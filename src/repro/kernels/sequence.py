@@ -1,10 +1,10 @@
 """Vectorized 1-D sequence-partitioning kernels.
 
-Each function here is the vector half of a kernel pair whose scalar half
-lives in :mod:`repro.partitioners.sequence`; both halves are proven
-bit-identical by the differential suite.  The vectorizations replace the
-per-item Python loops with prefix sums and ``np.searchsorted`` boundary
-placement:
+The kernels behind :mod:`repro.partitioners.sequence`, proven
+bit-identical to the frozen scalar loops in
+``tests/reference/ref_sequence.py`` by the differential suite.  The
+vectorizations replace the per-item Python loops with prefix sums and
+``np.searchsorted`` boundary placement:
 
 - the greedy fill becomes a *chase* of a non-decreasing target sequence
   (thresholds crossed by the load prefix, floored by the keep-enough-

@@ -11,16 +11,16 @@ domain is unrefined — and is then split contiguously:
   split over the variable-grain sequence, which buys the best load balance
   of the static schemes (Table 4: 11.3 % max imbalance).
 
-The segmentation loop exists twice — the scalar recursion below and the
-worklist kernel in :mod:`repro.kernels.gmisp` — selected by the kernel
-backend and proven bit-identical by the differential suite.
+The segmentation runs as the worklist kernel in :mod:`repro.kernels.gmisp`;
+the recursion it replaced is frozen as the differential oracle in
+``tests/reference/ref_gmisp.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro import kernels, obs
+from repro import obs
 from repro.kernels.gmisp import variable_grain_bounds_vector
 from repro.partitioners.base import Partitioner
 from repro.partitioners.sequence import (
@@ -32,26 +32,6 @@ from repro.partitioners.units import CompositeUnits
 __all__ = ["GMISPPartitioner", "GMISPSPPartitioner", "variable_grain_segments"]
 
 
-def _scalar_bounds(
-    prefix: np.ndarray, n: int, coarse: int, threshold: float
-) -> np.ndarray:
-    """Reference recursion: sorted segment start bounds (no ``n`` sentinel)."""
-    seg_bounds: list[int] = []
-
-    def emit(lo: int, hi: int) -> None:
-        load = prefix[hi] - prefix[lo]
-        if load > threshold and hi - lo > 1:
-            mid = (lo + hi) // 2
-            emit(lo, mid)
-            emit(mid, hi)
-        else:
-            seg_bounds.append(lo)
-
-    for start in range(0, n, coarse):
-        emit(start, min(start + coarse, n))
-    return np.asarray(seg_bounds, dtype=int)
-
-
 def _force_min_segments(
     bounds: np.ndarray, prefix: np.ndarray, n: int, num_procs: int
 ) -> np.ndarray:
@@ -61,7 +41,7 @@ def _force_min_segments(
     with fewer segments than processors, which would strand processors
     empty no matter how the segments are dealt.  Repeatedly halve the
     heaviest splittable segment (first index on ties) until every
-    processor can receive one.  Shared verbatim by both kernel backends.
+    processor can receive one.
     """
     want = min(num_procs, n)
     cuts = list(bounds) + [n]
@@ -94,12 +74,8 @@ def variable_grain_segments(
     total = loads.sum()
     threshold = split_factor * total / num_procs if total > 0 else np.inf
     prefix = np.concatenate([[0.0], np.cumsum(loads)])
-    backend = kernels.active_backend()
-    obs.counter("kernels.calls", kernel="gmisp_segments", backend=backend).inc()
-    if backend == "vector":
-        bounds = variable_grain_bounds_vector(prefix, n, coarse, threshold)
-    else:
-        bounds = _scalar_bounds(prefix, n, coarse, threshold)
+    obs.counter("kernels.calls", kernel="gmisp_segments").inc()
+    bounds = variable_grain_bounds_vector(prefix, n, coarse, threshold)
     bounds = _force_min_segments(bounds, prefix, n, num_procs)
     seg_of_unit = np.zeros(n, dtype=int)
     seg_of_unit[bounds[1:]] = 1

@@ -8,16 +8,17 @@ the lowest communication volume and data migration of the suite — at the
 price of the worst load balance (Table 4: 35 % max imbalance), because cut
 planes are constrained to whole lattice slices.
 
-The cut decision (:func:`choose_bisection_cut`) is shared between the
-scalar recursion here and the worklist kernel in
-:mod:`repro.kernels.pbd`, so the two backends dissect identically.
+The cut decision lives here (:func:`choose_bisection_cut`); the
+dissection itself runs as the worklist kernel in :mod:`repro.kernels.pbd`.
+The recursion it replaced is frozen as the differential oracle in
+``tests/reference/ref_pbd.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro import kernels, obs
+from repro import obs
 from repro.partitioners.base import Partitioner
 from repro.partitioners.units import CompositeUnits
 
@@ -86,39 +87,12 @@ def choose_bisection_cut(
     return best[1], best[2], p1
 
 
-def _bisect_scalar(
-    cube: np.ndarray, owners: np.ndarray, proc_lo: int, proc_hi: int
-) -> None:
-    """Reference recursion over subcube views."""
-    nprocs = proc_hi - proc_lo
-    if nprocs <= 1:
-        owners[...] = proc_lo
-        return
-    plan = choose_bisection_cut(cube, nprocs)
-    if plan is None:
-        # No axis can be cut: give everything to the first subgroup.
-        owners[...] = proc_lo
-        return
-    axis, cut, p1 = plan
-    sl_lo = [slice(None)] * 3
-    sl_hi = [slice(None)] * 3
-    sl_lo[axis] = slice(0, cut)
-    sl_hi[axis] = slice(cut, cube.shape[axis])
-    _bisect_scalar(cube[tuple(sl_lo)], owners[tuple(sl_lo)], proc_lo, proc_lo + p1)
-    _bisect_scalar(cube[tuple(sl_hi)], owners[tuple(sl_hi)], proc_lo + p1, proc_hi)
-
-
 def pbd_partition_cube(cube: np.ndarray, num_procs: int) -> np.ndarray:
-    """Owner cube of the p-way binary dissection (backend-dispatched)."""
-    backend = kernels.active_backend()
-    obs.counter("kernels.calls", kernel="pbd", backend=backend).inc()
-    if backend == "vector":
-        from repro.kernels.pbd import pbd_partition_cube_vector
+    """Owner cube of the p-way binary dissection."""
+    from repro.kernels.pbd import pbd_partition_cube_vector
 
-        return pbd_partition_cube_vector(cube, num_procs)
-    owners = np.zeros(cube.shape, dtype=int)
-    _bisect_scalar(cube, owners, proc_lo=0, proc_hi=num_procs)
-    return owners
+    obs.counter("kernels.calls", kernel="pbd").inc()
+    return pbd_partition_cube_vector(cube, num_procs)
 
 
 class PBDISPPartitioner(Partitioner):

@@ -12,18 +12,18 @@ the final step of every ISP-family partitioner.  Two algorithms:
 
 Both have capacity-weighted variants for heterogeneous targets.
 
-Each hot loop exists twice: the scalar reference below and a vectorized
-kernel in :mod:`repro.kernels.sequence`, selected by the process-wide
-kernel backend (``REPRO_KERNELS``).  The pair is proven bit-identical by
-the differential suite in ``tests/test_kernels.py``; keep both halves in
-lockstep when changing either.
+The greedy and weighted splits and the boundary → owner expansion run
+as vectorized kernels in :mod:`repro.kernels.sequence`; this module owns
+input validation and the exact bisection driver.  The scalar loops the
+kernels replaced live on, frozen, as the differential oracle in
+``tests/reference/ref_sequence.py`` (checked by ``tests/test_kernels.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro import kernels, obs
+from repro import obs
 from repro.kernels.sequence import (
     boundaries_to_assignment_vector,
     greedy_owners_vector,
@@ -39,11 +39,9 @@ __all__ = [
 ]
 
 
-def _tick(kernel: str) -> str:
-    """Count the dispatch under the active backend; returns the backend."""
-    backend = kernels.active_backend()
-    obs.counter("kernels.calls", kernel=kernel, backend=backend).inc()
-    return backend
+def _tick(kernel: str) -> None:
+    """Count one kernel dispatch."""
+    obs.counter("kernels.calls", kernel=kernel).inc()
 
 
 def _check_inputs(loads: np.ndarray, p: int) -> np.ndarray:
@@ -59,12 +57,8 @@ def _check_inputs(loads: np.ndarray, p: int) -> np.ndarray:
 
 def boundaries_to_assignment(boundaries: np.ndarray, n: int, p: int) -> np.ndarray:
     """Segment boundaries (p+1 prefix cut points) → per-item owner array."""
-    if _tick("boundaries_to_assignment") == "vector":
-        return boundaries_to_assignment_vector(boundaries, n, p)
-    owners = np.empty(n, dtype=int)
-    for k in range(p):
-        owners[boundaries[k] : boundaries[k + 1]] = k
-    return owners
+    _tick("boundaries_to_assignment")
+    return boundaries_to_assignment_vector(boundaries, n, p)
 
 
 def segment_loads(loads: np.ndarray, assignment: np.ndarray, p: int) -> np.ndarray:
@@ -82,23 +76,8 @@ def greedy_sequence_partition(loads: np.ndarray, p: int) -> np.ndarray:
     processor one.
     """
     loads = _check_inputs(loads, p)
-    n = loads.size
-    if _tick("greedy") == "vector":
-        return greedy_owners_vector(loads, p)
-    total = loads.sum()
-    owners = np.empty(n, dtype=int)
-    target = total / p
-    acc = 0.0
-    seg = 0
-    for i in range(n):
-        owners[i] = seg
-        acc += loads[i]
-        # Close the segment when it reached its fair share — or when the
-        # items left are exactly enough for the processors left (the
-        # reserve clause that keeps every processor non-empty).
-        if seg < p - 1 and (acc >= target * (seg + 1) or n - 1 - i <= p - 1 - seg):
-            seg += 1
-    return owners
+    _tick("greedy")
+    return greedy_owners_vector(loads, p)
 
 
 def _feasible(prefix: np.ndarray, p: int, bottleneck: float) -> np.ndarray | None:
@@ -192,19 +171,5 @@ def weighted_sequence_partition(
     if total == 0.0:
         # Degenerate: spread items evenly.
         return (np.arange(n) * p // max(n, 1)).astype(int)
-    if _tick("weighted") == "vector":
-        return weighted_owners_vector(loads, p, capacities, total)
-    prefix = np.cumsum(loads)
-    cum_target = np.cumsum(capacities) / capacities.sum() * total
-    owners = np.empty(n, dtype=int)
-    seg = 0
-    prev = 0.0
-    for i in range(n):
-        # Advance past every target the load so far has already met
-        # *before* assigning, so met (incl. zero-capacity) targets never
-        # absorb the next item.
-        while seg < p - 1 and prev >= cum_target[seg]:
-            seg += 1
-        owners[i] = seg
-        prev = prefix[i]
-    return owners
+    _tick("weighted")
+    return weighted_owners_vector(loads, p, capacities, total)

@@ -49,7 +49,7 @@ class SFCPartitioner(Partitioner):
                                   minlength=num_chunks)
 
         # Greedy deal in curve order; the chunk sequence is exactly a
-        # sequence-partitioning instance, so the shared (backend-dispatched)
-        # greedy kernel does the dealing.
+        # sequence-partitioning instance, so the shared greedy kernel
+        # does the dealing.
         owners_of_chunk = greedy_sequence_partition(chunk_loads, num_procs)
         return owners_of_chunk[chunk_ids]

@@ -195,6 +195,11 @@ class Scheduler:
         requires ``subscribers == 0`` *inside* the locked region: cancel
         commits use it so a same-key submit that re-attaches to the job
         between the caller's check and the commit keeps the job alive.
+
+        ``on_terminal`` (cache write-back, inflight pop) runs *before*
+        ``done`` wakes the waiting clients, so a client that resubmits
+        the key the moment its result returns finds the cached result
+        instead of executing the key a second time.
         """
         with job.lock:
             if job.committed:
@@ -205,8 +210,10 @@ class Scheduler:
             job.status = status
             job.finished_t = self.clock()
         self._event(job, status, **event_attrs)
-        job.done.set()
-        self.on_terminal(job)
+        try:
+            self.on_terminal(job)
+        finally:
+            job.done.set()
         return True
 
     def _event(self, job: Job, kind: str, **attrs: Any) -> None:

@@ -582,8 +582,10 @@ class ScenarioServer:
             # its pre-dispatch check sees ``committed`` and drops it
             self.queue.remove(job)
             self._emit(job, "cancelled", where="pending")
-            job.done.set()
-            self._on_terminal(job)
+            try:
+                self._on_terminal(job)
+            finally:
+                job.done.set()
             self._inc("serve.cancelled", where="pending")
             return True
         # already running: the cooperative flag wins or loses the commit

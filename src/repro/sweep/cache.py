@@ -25,7 +25,7 @@ __all__ = ["CODE_SALT", "ResultCache", "atomic_write_json", "cache_key"]
 
 #: global code-version salt folded into every cache key.  Bump whenever a
 #: change to the pipeline alters scenario results across the board.
-CODE_SALT = "2026.08-1"
+CODE_SALT = "2026.10-1"
 
 
 def cache_key(

@@ -1,15 +1,17 @@
 """Regenerate the golden comm-cost corpus (``costmodel.json``).
 
-Run from the repo root with the scalar backend (the oracle semantics):
+Run from the repo root:
 
-    REPRO_KERNELS=scalar PYTHONPATH=src python tests/golden/regen_costmodel.py
+    PYTHONPATH=src python tests/golden/regen_costmodel.py
 
 Each case reuses a hierarchy from the partition corpus (``blob.json``,
 ...), partitions it, and records sha256 digests of the per-processor
 communication bytes and neighbor counts plus the exact ghost-work
-scalar.  Only regenerate after an *intended* cost-model change, in the
-same commit as the matching scalar + vector + ``tests/reference``
-updates.
+scalar.  Partitions and cost terms are computed with the frozen scalar
+oracles of ``tests/reference/`` standing in for the production kernels
+(``regen.oracle_kernels``).  Only regenerate after an *intended*
+cost-model change, in the same commit as the matching kernel +
+``tests/reference`` updates.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
+from regen import oracle_kernels
 from repro.amr.hierarchy import GridHierarchy
-from repro.execsim.costmodel import CostModel, comm_cost_terms
+from repro.execsim import costmodel
 from repro.partitioners import PARTITIONER_REGISTRY, build_units
 
 HERE = Path(__file__).parent
@@ -39,16 +42,21 @@ def digest(arr: np.ndarray) -> str:
 
 
 def main() -> None:
-    cost = CostModel()
+    with oracle_kernels():
+        _write_corpus()
+
+
+def _write_corpus() -> None:
+    cost = costmodel.CostModel()
     doc: dict = {
         "num_procs": NUM_PROCS,
         "granularity": GRANULARITY,
         "cases": {},
     }
     for case_path in sorted(HERE.glob("*.json")):
-        if case_path.name == "costmodel.json":
-            continue
         case = json.loads(case_path.read_text())
+        if "hierarchy" not in case:  # this corpus, the API snapshot, ...
+            continue
         hierarchy = GridHierarchy.from_dict(case["hierarchy"])
         units = build_units(hierarchy, granularity=GRANULARITY)
         i, j, axis = units.adjacency_arrays()
@@ -56,7 +64,7 @@ def main() -> None:
         entry: dict = {}
         for name in PARTITIONERS:
             part = PARTITIONER_REGISTRY[name]().partition(units, NUM_PROCS)
-            comm_bytes, neighbor_count, ghost_work = comm_cost_terms(
+            comm_bytes, neighbor_count, ghost_work = costmodel.comm_cost_terms(
                 i, j, axis, part.assignment, shapes, units.loads,
                 NUM_PROCS, cost.ghost_width, cost.bytes_per_comm_unit,
             )

@@ -1,102 +1,18 @@
-"""Legacy keyword shims: warn exactly once, behave byte-identically.
+"""The options surface that replaced the legacy simulator keywords.
 
-``ExecutionSimulator`` grew a composed :class:`repro.config.SimulatorOptions`
-entry point; the old per-keyword spellings (``capacities``,
-``partition_time_scale``, ``fault_tolerance``, ``incremental``) still
-work but emit one :class:`DeprecationWarning` per call naming every
-legacy keyword used — and must produce results identical to the
-options-based spelling.
+``ExecutionSimulator`` is configured through one composed
+:class:`repro.config.SimulatorOptions` value; the old per-keyword
+spellings (``capacities``, ``partition_time_scale``, ``fault_tolerance``,
+``incremental``) were removed in 2.0.  These tests pin how
+:class:`repro.config.RuntimeConfig` folds fault tolerance into those
+options.
 """
 
 from __future__ import annotations
 
-import json
-
-import pytest
-
 from repro.config import RuntimeConfig, SimulatorOptions
-from repro.execsim import ExecutionSimulator, StaticSelector
 from repro.gridsys import sp2_blue_horizon
-from repro.partitioners import ISPPartitioner
 from repro.resilience import FaultTolerance
-from repro.sweep.scenario import jsonify
-
-
-def _run(sim, trace):
-    result = sim.run(trace, StaticSelector(ISPPartitioner()))
-    doc = {
-        "total_runtime": result.total_runtime,
-        "useful_work": result.useful_work,
-        "ghost_work": result.ghost_work,
-        "records": [
-            (r.compute_time, r.comm_time, r.regrid_time,
-             r.checkpoint_time, r.recovery_time)
-            for r in result.records
-        ],
-    }
-    return json.dumps(jsonify(doc), sort_keys=True)
-
-
-LEGACY_KWARGS = {
-    "capacities": [1.0, 0.5, 1.0, 0.5],
-    "partition_time_scale": 2.0,
-    "fault_tolerance": True,
-    "incremental": False,
-}
-
-
-@pytest.mark.parametrize("kwarg", sorted(LEGACY_KWARGS))
-def test_each_legacy_kwarg_warns_exactly_once(kwarg):
-    cluster = sp2_blue_horizon(4)
-    with pytest.warns(DeprecationWarning) as record:
-        ExecutionSimulator(cluster, **{kwarg: LEGACY_KWARGS[kwarg]})
-    assert len(record) == 1
-    assert kwarg in str(record[0].message)
-    assert "SimulatorOptions" in str(record[0].message)
-
-
-def test_combined_legacy_kwargs_warn_once_naming_all():
-    cluster = sp2_blue_horizon(4)
-    with pytest.warns(DeprecationWarning) as record:
-        ExecutionSimulator(
-            cluster, partition_time_scale=2.0, incremental=False
-        )
-    assert len(record) == 1
-    message = str(record[0].message)
-    assert "partition_time_scale" in message
-    assert "incremental" in message
-
-
-def test_options_spelling_is_warning_free(recwarn):
-    ExecutionSimulator(
-        sp2_blue_horizon(4),
-        options=SimulatorOptions(partition_time_scale=2.0, incremental=False),
-    )
-    assert not [w for w in recwarn if w.category is DeprecationWarning]
-
-
-@pytest.mark.parametrize("kwarg", sorted(LEGACY_KWARGS))
-def test_legacy_results_identical(kwarg, small_rm3d_trace):
-    """Old and new spellings of the same knob produce identical runs."""
-    cluster = sp2_blue_horizon(4)
-    with pytest.warns(DeprecationWarning):
-        legacy = ExecutionSimulator(cluster, **{kwarg: LEGACY_KWARGS[kwarg]})
-    modern = ExecutionSimulator(
-        cluster, options=SimulatorOptions(**{kwarg: LEGACY_KWARGS[kwarg]})
-    )
-    assert _run(legacy, small_rm3d_trace) == _run(modern, small_rm3d_trace)
-
-
-def test_legacy_kwargs_override_options():
-    """An explicit legacy kwarg wins over the options field (and warns)."""
-    cluster = sp2_blue_horizon(4)
-    with pytest.warns(DeprecationWarning):
-        sim = ExecutionSimulator(
-            cluster,
-            options=SimulatorOptions(partition_time_scale=1.0),
-            partition_time_scale=3.0,
-        )
-    assert sim.partition_time_scale == 3.0
 
 
 def test_runtime_config_composes_fault_tolerance():

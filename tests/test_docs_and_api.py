@@ -50,4 +50,4 @@ def test_public_classes_have_documented_methods():
 
 
 def test_version_exposed():
-    assert repro.__version__ == "1.1.0"
+    assert repro.__version__ == "2.0.0"

@@ -143,6 +143,12 @@ class TestCostAttribution:
             small_rm3d_trace, StaticSelector(ISPPartitioner())
         )
         assert res.total_regrid_time > 0.0
+        # the options knob scales the partitioning share of regrid time
+        scaled = ExecutionSimulator(
+            sp2_blue_horizon(4),
+            options=SimulatorOptions(partition_time_scale=2.0),
+        ).run(small_rm3d_trace, StaticSelector(ISPPartitioner()))
+        assert scaled.total_regrid_time > res.total_regrid_time
 
     def test_patch_shuffle_charged_for_sfc(self, small_rm3d_trace):
         from repro.partitioners import SFCPartitioner

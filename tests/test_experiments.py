@@ -5,6 +5,7 @@ import pytest
 from repro.experiments import EXPERIMENTS, fig2, table1, table2, table3
 from repro.experiments.fig3 import ascii_profile
 from repro.cli import main as cli_main
+from repro.sweep.scenario import ScenarioContext
 
 
 class TestRegistry:
@@ -14,31 +15,35 @@ class TestRegistry:
             "fig1", "fig2", "fig3", "fig4",
         }
 
-    def test_modules_expose_run_and_render(self):
+    def test_modules_expose_run_scenario_and_render_scenario(self):
         for module in EXPERIMENTS.values():
-            assert callable(module.run)
-            assert callable(module.render)
+            assert callable(module.run_scenario)
+            assert callable(module.render_scenario)
 
 
 class TestLightweightExperiments:
     def test_table2_render(self):
-        out = table2.render(table2.run())
+        out = table2.render_scenario(table2.run_scenario(ScenarioContext()))
         assert "Table 2" in out
         for octant in ("I", "VIII"):
             assert octant in out
 
     def test_fig2_runs_clean(self):
-        results = fig2.run()
-        assert len(results) == 8
-        out = fig2.render(results)
+        result = fig2.run_scenario(ScenarioContext())
+        assert len(result["corners"]) == 8
+        out = fig2.render_scenario(result)
         assert "MISS" not in out
 
-    def test_table3_on_small_trace(self, small_rm3d_trace):
-        rows = table3.run(small_rm3d_trace)
-        assert len(rows) == len(small_rm3d_trace)
+    def test_table3_on_small_trace(self, small_rm3d_trace, tmp_path):
+        # seed a private trace cache with the fixture (the same reduced
+        # RM3D run the "small" spec names) so the scenario loads it
+        small_rm3d_trace.save(tmp_path / "rm3d_small_trace.json.gz")
+        ctx = ScenarioContext(params={"trace": "small"}, cache_dir=tmp_path)
+        result = table3.run_scenario(ctx)
+        assert result["num_snapshots"] == len(small_rm3d_trace)
         # render compares against paper indices; needs >= 202 rows, so
         # just exercise the row structure here.
-        assert all(r.partitioner for r in rows)
+        assert all(partitioner for _octant, partitioner in result["rows"])
 
     def test_table1_paper_constants(self):
         assert set(table1.PAPER) == {200, 400, 600, 800, 1000}

@@ -148,8 +148,8 @@ class TestWeighted:
 
 class TestScalarFixRegressions:
     """Pinned behaviors of the scalar-loop fixes made when the vectorized
-    kernels landed (both backends must satisfy them; the differential suite
-    keeps them aligned)."""
+    kernels landed (the kernels must keep them; the differential suite
+    holds the kernels to the frozen scalar oracle)."""
 
     def test_greedy_reserves_units_for_remaining_procs(self):
         # Load concentrated at the tail: without the reserve clause the

@@ -578,6 +578,35 @@ class TestReviewRegressions:
         finally:
             server.shutdown(wait=False)
 
+    def test_resubmit_right_after_result_hits_cache(self):
+        """The terminal bookkeeping (cache write-back, inflight pop)
+        happens before the waiting client wakes: a client that resubmits
+        the key the moment ``result()`` returns is served from the cache,
+        however long that bookkeeping takes.  Waking the client first let
+        the resubmit miss both the cache and the committed twin and run
+        the key a second time."""
+        resubmitted = threading.Event()
+        with make_server(workers=1, start=False) as server:
+            on_terminal = server.scheduler.on_terminal
+
+            def held_on_terminal(job):
+                # hold the bookkeeping open until the client resubmits
+                # (or briefly, when the client cannot wake before it)
+                resubmitted.wait(timeout=0.5)
+                on_terminal(job)
+
+            server.scheduler.on_terminal = held_on_terminal
+            server.start()
+            assert server.submit("srv-quick").result(timeout=10.0)["square"] == 9
+            again = server.submit("srv-quick")
+            resubmitted.set()
+            assert again.result(timeout=10.0)["square"] == 9
+            assert server.drain(timeout=10.0)
+            counters = server.stats()["counters"]
+        assert counters["executions"] == 1
+        assert counters["cache_hits"] == 1
+        assert len(_EXEC_LOG) == 1
+
     def test_dedup_attach_survives_concurrent_cancels(self):
         """attach (submit) and detach (cancel) mutate one subscriber
         count from different threads; both now serialize on job.lock, so

@@ -201,17 +201,6 @@ class TestParallelDeterminism:
 
 
 class TestDeprecationShims:
-    def test_run_and_render_warn(self):
-        from repro.experiments import fig2, table2
-
-        with pytest.warns(DeprecationWarning, match="table2.run"):
-            raw = table2.run()
-        with pytest.warns(DeprecationWarning, match="table2.render"):
-            out = table2.render(raw)
-        assert "Table 2" in out
-        with pytest.warns(DeprecationWarning, match="fig2.run"):
-            fig2.run()
-
     def test_scenario_entrypoints_do_not_warn(self):
         import warnings
 
@@ -257,3 +246,33 @@ class TestAtomicTraceCache:
         assert not list(tmp_path.glob("*.tmp"))
         t2 = rm3d_small_trace(cache_dir=tmp_path)
         assert len(t1) == len(t2)
+
+    @pytest.mark.parametrize("damage", ["truncate-half", "flip-one-byte"])
+    def test_corrupt_cache_file_is_regenerated(
+        self, tmp_path, small_rm3d_trace, damage
+    ):
+        """A torn or bit-flipped cache file is counted and regenerated,
+        never raised to the caller."""
+        from repro import obs
+        from repro.amr.trace import AdaptationTrace
+        from repro.experiments.common import rm3d_small_trace
+
+        # the fixture is the same reduced RM3D run the cache generates
+        path = tmp_path / "rm3d_small_trace.json.gz"
+        small_rm3d_trace.save(path)
+        data = bytearray(path.read_bytes())
+        if damage == "truncate-half":
+            del data[len(data) // 2:]
+        else:
+            data[len(data) // 2] ^= 0xFF
+        path.write_bytes(bytes(data))
+
+        with obs.collect() as window:
+            healed = rm3d_small_trace(cache_dir=tmp_path)
+        assert healed.to_json() == small_rm3d_trace.to_json()
+        assert window.registry.counter_value(
+            "trace.cache_corrupt", file="rm3d_small_trace.json.gz"
+        ) == 1.0
+        # the file on disk is whole again, and no temp file is left
+        assert AdaptationTrace.load(path).to_json() == healed.to_json()
+        assert not list(tmp_path.glob(".*.tmp"))
